@@ -140,9 +140,11 @@ type Config struct {
 	// never sampled.
 	TimeSampleEvery int
 	// Gateway tunes the per-node HTTP range-read gateway obtained from
-	// Node.GatewayHandler. The zero value uses the gateway's defaults
+	// Node.GatewayHandler, and its stream-detection fields also govern
+	// the node's clients. The zero value uses the gateway's defaults
 	// (no tenant rate limit, stream detection off — set StreamDetect to
-	// let external sequential readers drive prefetching for themselves).
+	// let sequential readers, gateway and client alike, drive
+	// prefetching for themselves).
 	Gateway GatewaySpec
 	// Tiers lists the hierarchy fastest-first. Defaults to
 	// DefaultTiers() when empty.
@@ -184,15 +186,17 @@ type GatewaySpec struct {
 	// AdmitWait bounds the over-rate pacing wait before a request is
 	// shed with 429 + Retry-After (default 10ms).
 	AdmitWait time.Duration
-	// StreamDetect turns detected sequential client streams into
-	// readahead hint events — the paper's sequencing signal from
-	// external readers.
+	// StreamDetect turns detected sequential streams into readahead
+	// hint events — the paper's sequencing signal, ahead of the reader.
+	// It governs every reader of the node: each gateway (client, file)
+	// pair and each file handle of the node's Clients keeps its own
+	// detector.
 	StreamDetect bool
 	// StreamWindow is the sequentiality byte tolerance (default: one
 	// segment).
 	StreamWindow int64
-	// StreamLookahead is how many segments ahead a stream hints
-	// (default 4).
+	// StreamLookahead is how many segments ahead a stream hints, each
+	// segment once per stream (default 2).
 	StreamLookahead int
 }
 
@@ -599,6 +603,9 @@ func (n *Node) NewClient() *Client {
 func (n *Node) NewClientWithStats(stats *metrics.IOStats) *Client {
 	ag := agent.New(n.srv, n.srv.FS(), stats)
 	ag.SetTelemetry(n.srv.Telemetry())
+	if n.gwSpec.StreamDetect {
+		ag.SetStreamDetect(n.gwSpec.StreamWindow, n.gwSpec.StreamLookahead)
+	}
 	return &Client{agent: ag}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hfetch/internal/core/seg"
 )
 
 // fastConfig returns a free-device config so API tests run instantly.
@@ -177,5 +179,60 @@ func TestTimeScaleSpeedsDevices(t *testing.T) {
 	f.ReadAt(make([]byte, 4096), 0)
 	if el := time.Since(start); el > 20*time.Millisecond {
 		t.Fatalf("scaled PFS read took %v, want ~0.5ms", el)
+	}
+}
+
+// With stream detection on, a client's sequential reader drives its own
+// prefetching: the first segment's misses and the stream's readahead
+// hints run placement at once, so the segments ahead are resident
+// before the reader gets there, with the interval and the update
+// threshold both out of reach.
+func TestClientStreamPrefetchesAhead(t *testing.T) {
+	cfg := fastConfig(1)
+	cfg.EngineInterval = time.Hour
+	cfg.EngineUpdateThreshold = ReactivenessLow
+	cfg.Gateway.StreamDetect = true
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	const segSize = 4096
+	if err := cluster.CreateFile("data/seq", 8*segSize); err != nil {
+		t.Fatal(err)
+	}
+	client := cluster.Node(0).NewClient()
+	f, err := client.Open("data/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, segSize/4)
+	for off := int64(0); off < segSize; off += int64(len(buf)) {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := cluster.Node(0).Server()
+	deadline := time.Now().Add(2 * time.Second)
+	for _, idx := range []int64{1, 2} {
+		for {
+			if _, _, ok := srv.Lookup(seg.ID{File: "data/seq", Index: idx}); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("hinted segment %d never placed", idx)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := client.Stats().Hits()
+	for off := int64(segSize); off < 3*segSize; off += int64(len(buf)) {
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := client.Stats().Hits() - before; got != 8 {
+		t.Fatalf("%d of 8 reads of the hinted segments hit", got)
 	}
 }

@@ -348,6 +348,39 @@ func TestRouterPartitionsByOrigin(t *testing.T) {
 	}
 }
 
+// TestRouterShipsUrgent checks the urgent flag survives the wire hop
+// (Router.ship's encoding → the origin's handleUpdates), so a miss
+// audited on one node still kicks an immediate pass on the reader's.
+func TestRouterShipsUrgent(t *testing.T) {
+	net := comm.NewInprocNetwork(nil)
+	mem0 := staticMembership(net, "n0", "n1")
+	mem1 := staticMembership(net, "n1", "n0")
+	sink1 := &recSink{}
+	mux0, mux1 := comm.NewMux(), comm.NewMux()
+	net.Join("n0", mux0)
+	net.Join("n1", mux1)
+	r0 := NewRouter("n0", &recSink{}, mem0, mux0, nil)
+	NewRouter("n1", sink1, mem1, mux1, nil)
+
+	r0.ScoreUpdated(auditor.Update{ID: seg.ID{File: "/b", Index: 0}, Score: 1, Origin: "n1", Urgent: true})
+	r0.ScoreBatch([]auditor.Update{
+		{ID: seg.ID{File: "/b", Index: 1}, Score: 2, Origin: "n1"},
+		{ID: seg.ID{File: "/b", Index: 2}, Score: 3, Origin: "n1", Urgent: true},
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for len(sink1.updates()) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("n1 got %+v, want 3 shipped updates", sink1.updates())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, u := range sink1.updates() {
+		if want := u.ID.Index != 1; u.Urgent != want {
+			t.Errorf("segment %d arrived with Urgent = %v, want %v", u.ID.Index, u.Urgent, want)
+		}
+	}
+}
+
 // TestRouterBroadcastsInvalidations checks a write invalidation reaches
 // every peer exactly once (no re-broadcast loop).
 func TestRouterBroadcastsInvalidations(t *testing.T) {

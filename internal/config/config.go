@@ -173,15 +173,17 @@ type Config struct {
 	// GatewayWaitMS bounds how long an over-rate gateway request waits
 	// for a token before being shed (default 10ms).
 	GatewayWaitMS float64 `json:"gateway_wait_ms,omitempty"`
-	// StreamDetect enables the gateway's sequential-stream detector and
-	// its readahead hints. Daemon default true.
+	// StreamDetect enables sequential-stream detection and its
+	// readahead hints for the gateway's clients and for in-process
+	// agent readers built from this configuration. Daemon default true.
 	StreamDetect bool `json:"stream_detect"`
 	// StreamDetectWindow is the byte tolerance between consecutive
-	// ranges of one client still considered sequential (default: one
+	// ranges of one reader still considered sequential (default: one
 	// segment).
 	StreamDetectWindow int64 `json:"stream_detect_window,omitempty"`
 	// StreamLookahead is how many segments ahead a detected stream
-	// hints (default 4).
+	// hints, each segment once per stream (default 2; 4 over-fetches
+	// readers of short windows).
 	StreamLookahead int `json:"stream_lookahead,omitempty"`
 
 	TimeScale float64 `json:"time_scale"`
@@ -214,7 +216,7 @@ func Default() Config {
 		GatewayClientInflight: 64,
 		GatewayWaitMS:         10,
 		StreamDetect:          true,
-		StreamLookahead:       4,
+		StreamLookahead:       2,
 		TimeScale:             1,
 		Tiers: []Tier{
 			{Name: "ram", CapacityBytes: 64 << 20, LatencyUS: 0.2, BandwidthMBps: 8000, Channels: 8},

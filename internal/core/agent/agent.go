@@ -4,7 +4,10 @@
 // directly, which exercises the same protocol: open begins a prefetching
 // epoch, every read consults the segment mappings and is redirected to
 // the tier holding the prefetched segment (falling back to the PFS on a
-// miss), and every access emits an enriched event to the server.
+// miss), and every access emits an enriched event to the server. With
+// stream detection on, each file handle also follows its own read
+// continuity and posts readahead hints for the segments a sequential
+// reader is about to reach.
 package agent
 
 import (
@@ -30,6 +33,9 @@ type ServerAPI interface {
 	// shared, or remote) holds the segment; ok is false on a miss.
 	ReadPrefetched(id seg.ID, off int64, p []byte) (n int, tier string, ok bool)
 	PostEvent(ev events.Event)
+	// PostHints posts readahead hint events for segments first..last of
+	// a file of the given size and reports how many it posted.
+	PostHints(file string, first, last, size int64, at time.Time) int
 	Segmenter() *seg.Segmenter
 }
 
@@ -42,6 +48,10 @@ type Agent struct {
 	// Telemetry handles; nil when disabled (their methods no-op).
 	tele    *telemetry.Registry
 	pfsHist *telemetry.Histogram
+
+	// Stream detection (see SetStreamDetect); lookahead 0 means off.
+	streamWindow int64
+	lookahead    int
 }
 
 // New creates an agent. stats may be shared across agents of one
@@ -66,6 +76,22 @@ func (a *Agent) SetTelemetry(reg *telemetry.Registry) {
 		"prefetched-read latency by serving tier in nanoseconds", "tier", "pfs")
 }
 
+// SetStreamDetect turns on sequential-stream detection for every file
+// the agent opens afterwards: two reads of one handle within window
+// bytes of each other make a stream, and each read of a stream hints
+// the next lookahead segments not hinted yet (seg.Stream). window <= 0
+// selects one segment; lookahead <= 0 selects seg.DefaultStreamLookahead.
+// Call before Open.
+func (a *Agent) SetStreamDetect(window int64, lookahead int) {
+	if window <= 0 {
+		window = a.api.Segmenter().Size()
+	}
+	if lookahead <= 0 {
+		lookahead = seg.DefaultStreamLookahead
+	}
+	a.streamWindow, a.lookahead = window, lookahead
+}
+
 // Stats returns the agent's I/O statistics collector.
 func (a *Agent) Stats() *metrics.IOStats { return a.stats }
 
@@ -78,6 +104,7 @@ type File struct {
 	mu     sync.Mutex
 	pos    int64 // sequential cursor for Read/Seek
 	closed bool
+	stream seg.Stream // this handle's sequential-stream detector
 }
 
 // Open opens file for reading and begins (or joins) its prefetching
@@ -99,10 +126,19 @@ func (f *File) Size() int64 { return f.size }
 
 // ReadAt reads len(p) bytes at offset off. Each covered segment is
 // served from the tier holding it (a prefetch hit) or from the PFS (a
-// miss); the access is reported to the server as an enriched read event.
+// miss); the access is reported to the server as an enriched read event,
+// flagged Miss when any of it came from the PFS. A read that continues a
+// detected sequential stream first posts readahead hints for the
+// segments ahead of it.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	segr := f.a.api.Segmenter()
 	f.mu.Lock()
-	closed := f.closed
+	closed, size := f.closed, f.size
+	want := min(int64(len(p)), size-off)
+	first, last := int64(0), int64(-1)
+	if !closed && off >= 0 && want > 0 && f.a.lookahead > 0 {
+		first, last = f.stream.Advance(segr, off, want, size, f.a.streamWindow, f.a.lookahead)
+	}
 	f.mu.Unlock()
 	if closed {
 		return 0, fmt.Errorf("agent: read on closed file %q", f.name)
@@ -110,22 +146,21 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("agent: negative offset %d", off)
 	}
-	want := int64(len(p))
-	if off >= f.size {
+	if off >= size {
 		return 0, nil
-	}
-	if off+want > f.size {
-		want = f.size - off
 	}
 
 	start := time.Now()
-	segr := f.a.api.Segmenter()
+	if first <= last {
+		f.a.api.PostHints(f.name, first, last, size, start)
+	}
 	n := int64(0)
+	miss := false
 	for n < want {
 		cur := off + n
 		id := seg.ID{File: f.name, Index: segr.IndexOf(cur)}
 		segOff := cur - id.Index*segr.Size()
-		segEnd := segr.RangeOf(id, f.size).End()
+		segEnd := segr.RangeOf(id, size).End()
 		chunk := segEnd - cur
 		if chunk > want-n {
 			chunk = want - n
@@ -140,6 +175,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 			continue
 		}
 		// Miss, or stale mapping (segment demoted or evicted mid-read).
+		miss = true
 		var pfsStart time.Time
 		if f.a.tele != nil {
 			pfsStart = time.Now()
@@ -164,7 +200,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 
 	f.a.api.PostEvent(events.Event{
-		Op: events.OpRead, File: f.name, Offset: off, Length: n, Time: start,
+		Op: events.OpRead, File: f.name, Offset: off, Length: n, Time: start, Miss: miss,
 	})
 	return int(n), nil
 }

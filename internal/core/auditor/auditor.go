@@ -59,6 +59,12 @@ type Update struct {
 	// local). The cluster router uses it to deliver the update to the
 	// placement engine of the node that will read the data.
 	Origin string
+	// Urgent marks an update whose segment is about to be read: the
+	// event behind it was a demand miss (a read that fell through to
+	// the PFS) or a readahead hint from a detected sequential stream.
+	// The placement engine runs a pass for it at once instead of
+	// waiting for its interval or update threshold.
+	Urgent bool
 }
 
 // Sink receives score updates and invalidations. Implemented by the
@@ -514,12 +520,19 @@ func (a *Auditor) handleEvent(ev events.Event, out func(Update)) {
 	}
 }
 
+// A readahead hint is scored like a read but is a prediction, not an
+// access: it neither moves the file's last-read position nor teaches a
+// sequencing link, or a stream's hints would interleave with its reads
+// and the learned successors would point back at segments already read.
+//
 //hfetch:hotpath
 func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 	ids := a.cfg.Segmenter.Cover(ev.File, ev.Offset, ev.Length)
 	if len(ids) == 0 {
 		return
 	}
+	hint := ev.Via == events.ViaHint
+	urgent := hint || ev.Miss
 	st := a.epochStripeOf(ev.File)
 	st.mu.Lock()
 	es := st.m[ev.File]
@@ -527,7 +540,9 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 	var fileSize int64
 	if es != nil {
 		prev = es.lastIdx
-		es.lastIdx = ids[len(ids)-1].Index
+		if !hint {
+			es.lastIdx = ids[len(ids)-1].Index
+		}
 		fileSize = es.size
 	}
 	st.mu.Unlock()
@@ -557,7 +572,7 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 		if a.cfg.Learner != nil {
 			sc = a.learnAndBlend(rec, ts, sc)
 		}
-		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin}
+		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin, Urgent: urgent}
 		if id.Index == ids[0].Index {
 			// The event's trace is rooted at its first segment; updates
 			// for the rest of a multi-segment read stay untraced.
@@ -574,7 +589,7 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 
 	// Learn the predecessor link from the last segment of the previous
 	// read to the first segment of this one.
-	if a.cfg.SeqBoost > 0 {
+	if a.cfg.SeqBoost > 0 && !hint {
 		a.learnLink(ev.File, prev, ids[0].Index)
 	}
 }

@@ -129,6 +129,60 @@ func TestSequencingLearnsLinkAndBoosts(t *testing.T) {
 	}
 }
 
+// Demand misses and readahead hints produce urgent updates; plain hits
+// do not.
+func TestMissAndHintUpdatesAreUrgent(t *testing.T) {
+	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
+	a.StartEpoch("f", 1000)
+	hit := readEv("f", 0, 100)
+	miss := readEv("f", 100, 100)
+	miss.Miss = true
+	hint := readEv("f", 200, 100)
+	hint.Via = events.ViaHint
+	for _, ev := range []events.Event{hit, miss, hint} {
+		a.HandleEvent(ev)
+	}
+	ups, _ := sink.snapshot()
+	want := map[int64]bool{0: false, 1: true, 2: true}
+	if len(ups) != len(want) {
+		t.Fatalf("updates = %+v, want one per event", ups)
+	}
+	for _, u := range ups {
+		if u.Urgent != want[u.ID.Index] {
+			t.Errorf("segment %d: Urgent = %v, want %v", u.ID.Index, u.Urgent, want[u.ID.Index])
+		}
+	}
+}
+
+// Hints interleaved with a stream's reads must not teach links: the
+// links learned are the reads' own order.
+func TestHintsDoNotTeachLinks(t *testing.T) {
+	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: 0.5})
+	a.StartEpoch("f", 1000)
+	hint := func(idx int64) {
+		ev := readEv("f", idx*100, 100)
+		ev.Via = events.ViaHint
+		a.HandleEvent(ev)
+	}
+	a.HandleEvent(readEv("f", 0, 100))
+	hint(1)
+	hint(2)
+	a.HandleEvent(readEv("f", 100, 100))
+	hint(3)
+	a.HandleEvent(readEv("f", 200, 100))
+	for idx, succ := range map[int64]int64{0: 1, 1: 2} {
+		rec, _ := a.SegmentRec(seg.ID{File: "f", Index: idx})
+		if rec.Succ != succ {
+			t.Errorf("succ of segment %d = %d, want %d", idx, rec.Succ, succ)
+		}
+	}
+	for _, idx := range []int64{2, 3} {
+		if rec, ok := a.SegmentRec(seg.ID{File: "f", Index: idx}); ok && rec.Succ >= 0 {
+			t.Errorf("segment %d learned successor %d from hints", idx, rec.Succ)
+		}
+	}
+}
+
 func TestSeqBoostDisabled(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: -1})
 	a.StartEpoch("f", 1000)

@@ -67,6 +67,8 @@ type Config struct {
 	// for the legacy pool; sharded workers default to their ring's full
 	// capacity (capped at 2048) since a shard has a single drainer and a
 	// whole-ring drain costs one lock acquisition however deep the ring is.
+	// A daemon's buffer starts at 64 events and doubles toward Batch as
+	// full drains demand it.
 	Batch int
 	// Telemetry, when non-nil, exports queue depth/wait and consumption
 	// counters; nil disables instrumentation at ~zero cost.
@@ -240,7 +242,8 @@ func (m *Monitor) Consumed() int64 { return m.consumed.Load() }
 //hfetch:hotpath
 func (m *Monitor) daemon(q *events.Queue) {
 	defer m.wg.Done()
-	buf := make([]events.Event, m.cfg.Batch)
+	// Grown on demand like the rings it drains (see Config.Batch).
+	buf := make([]events.Event, min(m.cfg.Batch, 64))
 	for {
 		n, ok := q.TakeBatch(buf)
 		if !ok {
@@ -254,6 +257,10 @@ func (m *Monitor) daemon(q *events.Queue) {
 			}
 		}
 		m.consumed.Add(int64(n))
+		if n == len(buf) && n < m.cfg.Batch {
+			//lint:allow hotpath doubling growth: at most log2(Batch/64) allocations per daemon lifetime
+			buf = make([]events.Event, min(2*n, m.cfg.Batch))
+		}
 	}
 }
 

@@ -319,6 +319,15 @@ func (m *Mover) supersedeLocked(old *op, mv Move) {
 	m.ctr.superseded.Add(1)
 	if old.state == opQueued {
 		m.spliceLocked(old)
+		if old.next != nil {
+			// A move requeued for a destination-full retry can carry a
+			// successor chained while it ran. Retargeting sends it
+			// straight to the newest destination, so the chain is moot;
+			// it must turn terminal here or Drain would wait for it.
+			m.finishLocked(old.next)
+			m.ctr.cancel.Add(1)
+			old.next = nil
+		}
 		wasFetch := old.mv.From < 0
 		trace := old.mv.Trace
 		old.mv.To = mv.To

@@ -423,3 +423,70 @@ func TestMoverDrainStopIdempotent(t *testing.T) {
 		t.Fatalf("submitted = %d, want 1 (post-Stop submit ignored)", st.Submitted)
 	}
 }
+
+// scriptedExec fails segment 0's first fetch with ErrNoSpace once the
+// test releases it, and holds segment 1's fetch open until released.
+type scriptedExec struct {
+	*fakeExec
+	failFirst  chan struct{}
+	holdSecond chan struct{}
+	inSecond   chan struct{}
+	failed     bool
+}
+
+func (e *scriptedExec) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
+	switch id.Index {
+	case 0:
+		if !e.failed {
+			e.failed = true
+			e.enter()
+			<-e.failFirst
+			return tiers.ErrNoSpace
+		}
+	case 1:
+		close(e.inSecond)
+		<-e.holdSecond
+	}
+	return e.fakeExec.Fetch(id, size, dst)
+}
+
+// A move that had a successor chained behind it while running, then
+// went back to the queue for a destination-full retry, can be superseded
+// back to its origin. The chained successor must turn terminal with it,
+// or Drain waits forever.
+func TestMoverSupersedeRetriedMoveFinishesChain(t *testing.T) {
+	hier := twoTiers(1000, 1000)
+	ex := &scriptedExec{
+		fakeExec:   newFakeExec(false),
+		failFirst:  make(chan struct{}),
+		holdSecond: make(chan struct{}),
+		inSecond:   make(chan struct{}),
+	}
+	out := newOutcome()
+	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 2}, hier, ex, out.cb)
+	m.Start()
+	defer m.Stop()
+
+	m.Submit([]Move{{ID: sid(0), Size: 100, From: -1, To: 0}})
+	<-ex.entered // segment 0's fetch is running
+	m.Submit([]Move{{ID: sid(1), Size: 100, From: -1, To: 0}})
+	m.Submit([]Move{{ID: sid(0), Size: 100, From: 0, To: 1}})  // chains behind the running fetch
+	close(ex.failFirst)                                        // the fetch fails and requeues behind segment 1
+	<-ex.inSecond                                              // the only ram worker is now busy with segment 1
+	m.Submit([]Move{{ID: sid(0), Size: 100, From: 1, To: -1}}) // back to the origin: nothing to move
+	close(ex.holdSecond)
+
+	drained := make(chan struct{})
+	go func() {
+		m.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Drain hung with %d moves outstanding", m.Stats().Outstanding)
+	}
+	if hier.Tier(0).Has(sid(0)) || hier.Tier(1).Has(sid(0)) {
+		t.Fatal("segment 0 resident after its chain returned to the origin")
+	}
+}

@@ -2,7 +2,11 @@
 // engine — Algorithm 1 of the paper. The engine consumes segment score
 // updates pushed by the auditor, and periodically (by time interval or by
 // update count, whichever fires first — the engine "reactiveness")
-// recomputes where each updated segment belongs in the hierarchy:
+// recomputes where each updated segment belongs in the hierarchy. A
+// third trigger runs a pass at once for an urgent update, one whose
+// segment is about to be read (a demand miss or a readahead hint):
+// waiting out the interval there would let a sequential reader outrun
+// its own prefetches.
 //
 //	procedure CalculatePlacement(segment, tier)
 //	    if segment.score > tier.min_score then
@@ -69,7 +73,8 @@ type Config struct {
 	// Interval is trigger (a): run at least this often. Default 1s.
 	Interval time.Duration
 	// UpdateThreshold is trigger (b): run after this many score updates.
-	// Default Medium (100).
+	// Default Medium (100). Trigger (c), an urgent update (see
+	// auditor.Update.Urgent), runs a pass at once and has no knob.
 	UpdateThreshold int
 	// Workers is the number of engine threads executing data movement
 	// within a run (synchronous mode), and the PFS fetch-stream cap of
@@ -258,7 +263,7 @@ func (e *Engine) Stop() {
 }
 
 // ScoreUpdated implements auditor.Sink. It is the hot path: a map insert
-// and, past the threshold, a non-blocking kick.
+// and, past the threshold or for an urgent update, a non-blocking kick.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreUpdated(u auditor.Update) {
@@ -266,7 +271,7 @@ func (e *Engine) ScoreUpdated(u auditor.Update) {
 	e.mu.Lock()
 	e.pending[u.ID] = u
 	e.updateCount++
-	fire := e.updateCount >= e.cfg.UpdateThreshold
+	fire := u.Urgent || e.updateCount >= e.cfg.UpdateThreshold
 	e.mu.Unlock()
 	if fire {
 		select {
@@ -280,7 +285,7 @@ func (e *Engine) ScoreUpdated(u auditor.Update) {
 // absorbs a whole drain cycle's score updates, so the sharded monitor's
 // workers do not re-serialize on the engine. Later updates of the same
 // segment within the batch win, exactly as they would arriving one by
-// one.
+// one. One urgent update kicks a pass for the whole batch.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreBatch(ups []auditor.Update) {
@@ -288,12 +293,14 @@ func (e *Engine) ScoreBatch(ups []auditor.Update) {
 		return
 	}
 	e.ctr.updates.Add(int64(len(ups)))
+	urgent := false
 	e.mu.Lock()
 	for _, u := range ups {
 		e.pending[u.ID] = u
+		urgent = urgent || u.Urgent
 	}
 	e.updateCount += len(ups)
-	fire := e.updateCount >= e.cfg.UpdateThreshold
+	fire := urgent || e.updateCount >= e.cfg.UpdateThreshold
 	e.mu.Unlock()
 	if fire {
 		select {

@@ -266,6 +266,41 @@ func TestIntervalTriggers(t *testing.T) {
 	t.Fatal("interval trigger did not run the engine")
 }
 
+// An urgent update (demand miss or readahead hint) runs a pass at once,
+// far below the update threshold and long before the interval, and the
+// pass places everything pending; non-urgent updates keep waiting.
+func TestUrgentUpdateTriggersPass(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
+		r.eng.Start()
+		deliver := func(ups ...auditor.Update) {
+			if batch {
+				r.eng.ScoreBatch(ups)
+				return
+			}
+			for _, u := range ups {
+				r.eng.ScoreUpdated(u)
+			}
+		}
+		deliver(up(0, 5), up(1, 4))
+		time.Sleep(30 * time.Millisecond)
+		if runs := r.eng.Counters().Runs; runs != 0 || r.hier.Tier(0).Len() != 0 {
+			t.Fatalf("batch=%v: non-urgent updates ran %d passes, resident=%d", batch, runs, r.hier.Tier(0).Len())
+		}
+		urgent := up(2, 3)
+		urgent.Urgent = true
+		deliver(up(3, 2), urgent)
+		deadline := time.Now().Add(2 * time.Second)
+		for r.hier.Tier(0).Len() < 4 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if n := r.hier.Tier(0).Len(); n != 4 {
+			t.Fatalf("batch=%v: urgent update placed %d of 4 pending segments", batch, n)
+		}
+		r.eng.Stop()
+	}
+}
+
 func TestStopDrainsPending(t *testing.T) {
 	r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
 	r.eng.Start()

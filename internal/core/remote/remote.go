@@ -256,7 +256,7 @@ func serveRead(srv *server.Server, req readReq) ([]byte, string, error) {
 			break
 		}
 	}
-	srv.PostEvent(events.Event{Op: events.OpRead, File: req.File, Offset: req.Off, Length: n})
+	srv.PostEvent(events.Event{Op: events.OpRead, File: req.File, Offset: req.Off, Length: n, Miss: !allHit})
 	if !allHit {
 		tier = ""
 	}

@@ -719,6 +719,32 @@ func (s *Server) PostEvent(ev events.Event) {
 	s.mon.Post(ev)
 }
 
+// PostHints posts one synthetic readahead event (Via ViaHint) per
+// segment first..last of file, each covering the whole segment clipped
+// to size, and returns how many it posted. It is the one path by which
+// stream detectors (agent file handles and the gateway) turn a detected
+// sequential stream into the sequencing signal: hints are scored like
+// reads, and the auditor marks their updates urgent so the placement
+// engine fetches the segments before the reader arrives.
+func (s *Server) PostHints(file string, first, last, size int64, at time.Time) int {
+	if first > last || !s.registry.Watched(file) {
+		return 0
+	}
+	n := 0
+	for idx := first; idx <= last; idx++ {
+		r := s.segr.RangeOf(seg.ID{File: file, Index: idx}, size)
+		if r.Len <= 0 {
+			break
+		}
+		s.mon.Post(events.Event{
+			Op: events.OpRead, File: file, Offset: r.Off, Length: r.Len,
+			Time: at, Via: events.ViaHint,
+		})
+		n++
+	}
+	return n
+}
+
 // ---- accessors ----
 
 // Node returns this server's cluster node name.

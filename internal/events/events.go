@@ -46,8 +46,8 @@ func (o Op) String() string {
 
 // Via identifies the producer of an event: the in-process client agent
 // (the default, zero value), the HTTP gateway's request path, or a
-// synthetic readahead hint emitted by the gateway's sequential-stream
-// detector. Hints are scored like real reads — a detected stream *is*
+// synthetic readahead hint emitted by a sequential-stream detector (an
+// agent file handle's or the gateway's). Hints are scored like real reads — a detected stream *is*
 // the paper's sequencing signal — but carry the tag so consumers and
 // tests can tell externally-driven traffic from agent traffic.
 type Via uint8
@@ -78,6 +78,12 @@ type Event struct {
 	// Via tags the producer: in-process agent (default), the HTTP
 	// gateway, or a synthetic stream-detector readahead hint.
 	Via Via
+	// Miss marks a read that fell through to the PFS for at least one
+	// segment. Like a hint it says "this data is wanted now", so the
+	// placement engine runs at once instead of waiting for its interval
+	// or update threshold. It sits beside Via in the same padding word,
+	// so the event (and every ring slot) stays 120 bytes.
+	Miss bool
 	// Tier names the tier that produced the event (capacity events) or
 	// served the access, when known.
 	Tier string

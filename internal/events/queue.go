@@ -16,15 +16,21 @@ import (
 // variables. When full, the posting policy decides between blocking the
 // producer (default, provides backpressure like a saturated kernel queue)
 // and dropping the event (counted, mirroring inotify's IN_Q_OVERFLOW).
+//
+// The ring starts small (initialSlots) and doubles, up to its capacity,
+// whenever a post finds it full: a daemon boots with eight 8k-slot
+// shards, and allocating all of them up front costs megabytes that an
+// idle or lightly loaded pipeline never touches.
 type Queue struct {
-	mu      sync.Mutex
-	notFull *sync.Cond
-	notEmpt *sync.Cond
-	buf     []Event
-	head    int
-	n       int
-	closed  bool
-	drop    bool
+	mu       sync.Mutex
+	notFull  *sync.Cond
+	notEmpt  *sync.Cond
+	buf      []Event
+	head     int
+	n        int
+	capacity int // bound len(buf) grows to; full means n == capacity
+	closed   bool
+	drop     bool
 
 	// exactWake makes TakeBatch wake min(freed slots, blocked producers)
 	// instead of broadcasting to all of them. A shard of a ShardedQueue
@@ -45,6 +51,10 @@ type Queue struct {
 	times []int64
 }
 
+// initialSlots is a ring's starting length; it doubles on demand up to
+// the queue's capacity.
+const initialSlots = 64
+
 // NewQueue creates a queue with the given capacity (minimum 1). If drop
 // is true, Post discards events when the queue is full instead of
 // blocking.
@@ -52,7 +62,7 @@ func NewQueue(capacity int, drop bool) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
-	q := &Queue{buf: make([]Event, capacity), drop: drop}
+	q := &Queue{buf: make([]Event, min(capacity, initialSlots)), capacity: capacity, drop: drop}
 	q.notFull = sync.NewCond(&q.mu)
 	q.notEmpt = sync.NewCond(&q.mu)
 	return q
@@ -108,7 +118,7 @@ func (q *Queue) Post(ev Event) bool {
 //hfetch:hotpath
 func (q *Queue) postRef(ev *Event) bool {
 	q.mu.Lock()
-	for q.n == len(q.buf) && !q.closed && !q.drop {
+	for q.n == q.capacity && !q.closed && !q.drop {
 		q.prodWait++
 		q.notFull.Wait()
 		q.prodWait--
@@ -117,10 +127,13 @@ func (q *Queue) postRef(ev *Event) bool {
 		q.mu.Unlock()
 		return false
 	}
-	if q.n == len(q.buf) { // drop policy
+	if q.n == q.capacity { // drop policy
 		q.mu.Unlock()
 		q.dropped.Add(1)
 		return false
+	}
+	if q.n == len(q.buf) {
+		q.grow()
 	}
 	slot := (q.head + q.n) % len(q.buf)
 	q.buf[slot] = *ev
@@ -136,6 +149,25 @@ func (q *Queue) postRef(ev *Event) bool {
 	q.mu.Unlock()
 	q.posted.Add(1)
 	return true
+}
+
+// grow doubles the ring (clipped at capacity), unrolling the queued
+// events to the front of the new slice so FIFO order survives the
+// wraparound; the enqueue stamps move in step. Called with q.mu held on
+// a full ring below capacity.
+func (q *Queue) grow() {
+	size := min(2*len(q.buf), q.capacity)
+	buf := make([]Event, size)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	if q.times != nil {
+		times := make([]int64, size)
+		k := copy(times, q.times[q.head:])
+		copy(times[k:], q.times[:q.head])
+		q.times = times
+	}
+	q.buf = buf
+	q.head = 0
 }
 
 // takeStamp clears and returns the enqueue stamp of slot; called with

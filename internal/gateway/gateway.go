@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hfetch/internal/core/seg"
 	"hfetch/internal/core/server"
 	"hfetch/internal/events"
 	"hfetch/internal/pfs"
@@ -44,7 +45,8 @@ type Config struct {
 	// AdmitWait bounds how long an over-rate request may wait for a
 	// token before being shed with 429 + Retry-After (default 10ms).
 	AdmitWait time.Duration
-	// StreamDetect enables the sequential-stream detector and its
+	// StreamDetect enables the per-(client, file) sequential-stream
+	// detector (seg.Stream, shared with agent file handles) and its
 	// readahead hint events.
 	StreamDetect bool
 	// StreamWindow is the byte tolerance between the end of one request
@@ -52,7 +54,8 @@ type Config struct {
 	// stream (default: the node's segment size).
 	StreamWindow int64
 	// StreamLookahead is how many segments ahead of a detected stream
-	// the gateway hints (default 4).
+	// the gateway hints, each segment once per stream (default
+	// seg.DefaultStreamLookahead, 2).
 	StreamLookahead int
 	// ChunkBytes is the streaming copy granularity (default 256 KiB).
 	// Each chunk re-checks the file generation so a response never
@@ -91,7 +94,7 @@ func (c Config) withDefaults(segSize int64) Config {
 		c.StreamWindow = segSize
 	}
 	if c.StreamLookahead <= 0 {
-		c.StreamLookahead = 4
+		c.StreamLookahead = seg.DefaultStreamLookahead
 	}
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 256 << 10
@@ -150,7 +153,7 @@ func New(srv *server.Server, cfg Config) *Gateway {
 		fs:      srv.FS(),
 		cfg:     cfg,
 		qos:     newQOS(cfg),
-		streams: newStreamTable(cfg.StreamWindow),
+		streams: newStreamTable(srv.Segmenter(), cfg.StreamWindow, cfg.StreamLookahead),
 		epochs:  make(map[string]int64),
 	}
 	g.log = cfg.Logger
@@ -430,10 +433,11 @@ func (g *Gateway) handleFile(w http.ResponseWriter, r *http.Request) {
 		Time: start, Via: events.ViaGateway,
 	})
 	if g.cfg.StreamDetect && br.length > 0 {
-		if detected := g.streams.note(client, path, br.start, br.length); detected {
+		detected, first, last := g.streams.note(client, path, br.start, br.length, fi.Size)
+		if detected {
 			g.streamCtr.Inc()
-			g.hint(path, br.start+br.length, fi.Size, start)
 		}
+		g.hintCtr.Add(int64(g.srv.PostHints(path, first, last, fi.Size, start)))
 	}
 
 	g.countCode(status)
@@ -453,33 +457,6 @@ func (g *Gateway) InflightNow() int64 { return g.qos.inflightNow() }
 // Completed reports finished requests, any status including aborts (the
 // watchdog's progress signal).
 func (g *Gateway) Completed() int64 { return g.completed.Load() }
-
-// hint posts synthetic readahead events for the segments following end,
-// at segment granularity: a detected stream is the sequencing signal,
-// and these events are what turns it into prefetches that land before
-// the client's next request arrives.
-func (g *Gateway) hint(path string, end, size int64, now time.Time) {
-	segr := g.srv.Segmenter()
-	if end <= 0 {
-		end = 1
-	}
-	idx := segr.IndexOf(end - 1)
-	for k := 1; k <= g.cfg.StreamLookahead; k++ {
-		off := (idx + int64(k)) * segr.Size()
-		if off >= size {
-			return
-		}
-		ln := segr.Size()
-		if off+ln > size {
-			ln = size - off
-		}
-		g.srv.PostEvent(events.Event{
-			Op: events.OpRead, File: path, Offset: off, Length: ln,
-			Time: now, Via: events.ViaHint,
-		})
-		g.hintCtr.Inc()
-	}
-}
 
 // stream writes [br.start, br.start+br.length) of path to w in chunks
 // of at most ChunkBytes, served from one pinned RangeView: the range's

@@ -340,6 +340,33 @@ func TestStreamDetectionDrivesPrefetch(t *testing.T) {
 	}
 }
 
+// Each segment ahead of a stream is hinted once, however many of the
+// stream's ranges land in the segment before it.
+func TestStreamHintsDeduplicated(t *testing.T) {
+	g, _, fs := newTestNode(t, Config{StreamDetect: true, StreamLookahead: 2})
+	if err := fs.Create("data/q", 8*testSeg); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g)
+	defer ts.Close()
+	const quarter = testSeg / 4
+	for i := int64(0); i < 16; i++ { // segments 0..3 in quarter-segment ranges
+		req, _ := http.NewRequest("GET", ts.URL+"/files/data/q", nil)
+		req.Header.Set("Range", "bytes="+itoa(i*quarter)+"-"+itoa((i+1)*quarter-1))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	// Detected at the second range: segments 1 and 2; then one new
+	// segment per segment crossed: 3, 4, 5.
+	if n := g.hintCtr.Value(); n != 5 {
+		t.Fatalf("hints = %d, want 5 (segments 1..5, each once)", n)
+	}
+}
+
 func TestStreamDetectOffPostsNoHints(t *testing.T) {
 	g, _, fs := newTestNode(t, Config{StreamDetect: false})
 	if err := fs.Create("data/off", 16*testSeg); err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hfetch/internal/core/seg"
 )
 
 func TestTenantRateShedsWithRetryAfter(t *testing.T) {
@@ -149,20 +151,24 @@ func TestBoundedWaitAdmits(t *testing.T) {
 }
 
 func TestStreamTableWindowAndReset(t *testing.T) {
-	tb := newStreamTable(100)
-	if tb.note("c", "f", 0, 100) {
+	tb := newStreamTable(seg.NewSegmenter(100), 100, seg.DefaultStreamLookahead)
+	note := func(client string, off int64) bool {
+		detected, _, _ := tb.note(client, "f", off, 100, 1<<20)
+		return detected
+	}
+	if note("c", 0) {
 		t.Fatal("first range already a stream")
 	}
-	if !tb.note("c", "f", 100, 100) {
+	if !note("c", 100) {
 		t.Fatal("contiguous continuation not detected")
 	}
-	if !tb.note("c", "f", 250, 100) {
+	if !note("c", 250) {
 		t.Fatal("in-window gap broke the stream")
 	}
-	if tb.note("c", "f", 10_000, 100) {
+	if note("c", 10_000) {
 		t.Fatal("far jump still counted as a stream")
 	}
-	if tb.note("other", "f", 100, 100) {
+	if note("other", 100) {
 		t.Fatal("fresh client inherited another client's stream")
 	}
 }

@@ -2,6 +2,8 @@ package gateway
 
 import (
 	"sync"
+
+	"hfetch/internal/core/seg"
 )
 
 // streamShards stripes the tracker so concurrent clients don't
@@ -13,35 +15,34 @@ const streamShards = 16
 // one request; the bound matters more than the tail.
 const maxStreamsPerShard = 4096
 
-// streamTable detects per-client sequential range streams: it remembers
-// the byte each (client, file) pair is expected to read next, and two
-// consecutive requests within the window make a stream. The detected
-// stream is the paper's sequencing signal as seen from outside the
-// process — the gateway turns it into readahead hints.
+// streamTable keeps one sequential-stream detector (seg.Stream, the
+// same one agent file handles keep) per (client, file) pair. External
+// clients have no handle the gateway could hang the state on, so the
+// table stands in for one. The detected stream is the paper's
+// sequencing signal as seen from outside the process — the gateway
+// turns it into readahead hints.
 type streamTable struct {
-	window int64
-	shards [streamShards]struct {
+	segr      *seg.Segmenter
+	window    int64
+	lookahead int
+	shards    [streamShards]struct {
 		mu sync.Mutex
-		m  map[string]*streamState
+		m  map[string]*seg.Stream
 	}
 }
 
-type streamState struct {
-	next   int64 // offset the stream is expected to continue at
-	streak int   // consecutive continuations observed
-}
-
-func newStreamTable(window int64) *streamTable {
-	t := &streamTable{window: window}
+func newStreamTable(segr *seg.Segmenter, window int64, lookahead int) *streamTable {
+	t := &streamTable{segr: segr, window: window, lookahead: lookahead}
 	for i := range t.shards {
-		t.shards[i].m = make(map[string]*streamState)
+		t.shards[i].m = make(map[string]*seg.Stream)
 	}
 	return t
 }
 
-// note records one request and reports whether it continues a detected
-// sequential stream (two or more back-to-back in-window ranges).
-func (t *streamTable) note(client, file string, off, length int64) bool {
+// note records one request of a file of size bytes, reports whether it
+// continues a detected stream, and returns the segments [first, last]
+// to hint (first > last: none; see seg.Stream.Advance).
+func (t *streamTable) note(client, file string, off, length, size int64) (detected bool, first, last int64) {
 	key := client + "\x00" + file
 	sh := &t.shards[fnv32(key)%streamShards]
 	sh.mu.Lock()
@@ -49,19 +50,13 @@ func (t *streamTable) note(client, file string, off, length int64) bool {
 	st := sh.m[key]
 	if st == nil {
 		if len(sh.m) >= maxStreamsPerShard {
-			sh.m = make(map[string]*streamState)
+			sh.m = make(map[string]*seg.Stream)
 		}
-		st = &streamState{}
+		st = &seg.Stream{}
 		sh.m[key] = st
 	}
-	gap := off - st.next
-	if st.streak > 0 && gap >= -t.window && gap <= t.window {
-		st.streak++
-	} else {
-		st.streak = 1
-	}
-	st.next = off + length
-	return st.streak >= 2
+	first, last = st.Advance(t.segr, off, length, size, t.window, t.lookahead)
+	return st.Detected(), first, last
 }
 
 // fnv32 hashes the tracker key (FNV-1a) for shard selection.

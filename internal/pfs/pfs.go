@@ -12,6 +12,7 @@
 package pfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -93,9 +94,7 @@ func (fs *FS) List() []string {
 // ReadAt reads len(p) bytes from name at offset off, charging the device
 // model, and returns the number of bytes read (short at EOF).
 func (fs *FS) ReadAt(name string, off int64, p []byte) (int, time.Duration, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
+	f, ok := fs.snapshot(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("pfs: no such file %q", name)
 	}
@@ -114,6 +113,19 @@ func (fs *FS) ReadAt(name string, off int64, p []byte) (int, time.Duration, erro
 	}
 	fill(p[:n], f.seed, f.version, off)
 	return n, cost, nil
+}
+
+// snapshot copies name's state under the read lock: Write bumps version
+// and size in place under the write lock, so a read must take all three
+// fields from one moment to return bytes of a single generation.
+func (fs *FS) snapshot(name string) (file, bool) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	f, ok := fs.files[name]
+	if !ok {
+		return file{}, false
+	}
+	return *f, true
 }
 
 // Write emulates an update to [off, off+ln): it bumps the file's version
@@ -144,9 +156,7 @@ func (fs *FS) Write(name string, off, ln int64) (time.Duration, error) {
 // ExpectedAt returns the byte a correct read of file name at offset off
 // must produce given the file's current version.
 func (fs *FS) ExpectedAt(name string, off int64) (byte, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
+	f, ok := fs.snapshot(name)
 	if !ok {
 		return 0, fmt.Errorf("pfs: no such file %q", name)
 	}
@@ -172,13 +182,21 @@ func seedOf(name string) uint64 {
 // fill writes the deterministic content of [off, off+len(p)) into p.
 // Content is a function of (seed, version, absolute offset) computed per
 // 8-byte word with a splitmix64-style mix, so reads at arbitrary offsets
-// are O(len) with no per-file state.
+// are O(len) with no per-file state. Byte abs of the file is byte abs&7
+// of word abs>>3 in little-endian order, so aligned words are stored
+// whole and only an unaligned head and tail go byte by byte.
 func fill(p []byte, seed uint64, version int64, off int64) {
 	base := seed ^ (uint64(version) * 0x9e3779b97f4a7c15)
-	for i := range p {
-		abs := uint64(off + int64(i))
-		word := mix(base + (abs>>3)*0xbf58476d1ce4e5b9)
-		p[i] = byte(word >> ((abs & 7) * 8))
+	abs := uint64(off)
+	i := 0
+	for ; i < len(p) && abs&7 != 0; i, abs = i+1, abs+1 {
+		p[i] = byte(mix(base+(abs>>3)*0xbf58476d1ce4e5b9) >> ((abs & 7) * 8))
+	}
+	for ; i+8 <= len(p); i, abs = i+8, abs+8 {
+		binary.LittleEndian.PutUint64(p[i:], mix(base+(abs>>3)*0xbf58476d1ce4e5b9))
+	}
+	for ; i < len(p); i, abs = i+1, abs+1 {
+		p[i] = byte(mix(base+(abs>>3)*0xbf58476d1ce4e5b9) >> ((abs & 7) * 8))
 	}
 }
 
