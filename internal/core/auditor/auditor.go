@@ -236,12 +236,20 @@ func statKey(id seg.ID) string { return segKey('s', id) }
 func mapKey(id seg.ID) string  { return segKey('m', id) }
 
 func segKey(prefix byte, id seg.ID) string {
-	b := make([]byte, 0, len(id.File)+22)
+	var buf [keyBuf]byte
+	return string(appendSegKey(buf[:0], prefix, id))
+}
+
+// keyBuf sizes the stack buffers keys are built in; a longer file name
+// makes append spill to the heap, nothing worse.
+const keyBuf = 96
+
+// appendSegKey appends the dhm key "prefix|file|index" of id to b.
+func appendSegKey(b []byte, prefix byte, id seg.ID) []byte {
 	b = append(b, prefix, '|')
 	b = append(b, id.File...)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, id.Index, 10)
-	return string(b)
+	return strconv.AppendInt(b, id.Index, 10)
 }
 
 // ---- distributed mutators ----
@@ -683,8 +691,12 @@ func (a *Auditor) ScoreOf(id seg.ID, at time.Time) float64 {
 
 // Mapping returns which node and tier currently hold id. ok is false
 // when the segment is not prefetched anywhere.
+//
+// A locally owned mapping is found without allocating: the key is built
+// in a stack buffer and looked up by its bytes.
 func (a *Auditor) Mapping(id seg.ID) (node, tier string, ok bool) {
-	v, ok, err := a.maps.Get(mapKey(id))
+	var buf [keyBuf]byte
+	v, ok, err := a.maps.GetBytes(appendSegKey(buf[:0], 'm', id))
 	if err != nil || !ok {
 		return "", "", false
 	}

@@ -39,6 +39,7 @@ type RangeView struct {
 	scratchBufs []*tiers.Buf
 	scratchPos  []int
 
+	pinned    int // covered segments pinned at open
 	hits      int
 	misses    int
 	zero      int64 // bytes served by reference
@@ -57,7 +58,7 @@ var viewPool = sync.Pool{New: func() any { return new(RangeView) }}
 func (s *Server) OpenRangeView(file string, size, off, want int64) *RangeView {
 	v := viewPool.Get().(*RangeView)
 	v.s, v.file, v.size = s, file, size
-	v.hits, v.misses, v.zero, v.truncated = 0, 0, 0, false
+	v.pinned, v.hits, v.misses, v.zero, v.truncated = 0, 0, 0, 0, false
 	if off < 0 || off >= size || want <= 0 {
 		v.pos, v.end = 0, 0
 		v.resize(0)
@@ -81,9 +82,8 @@ func (s *Server) OpenRangeView(file string, size, off, want int64) *RangeView {
 	// batched device charge — per tier, walking fastest-first so a
 	// segment resident twice (transiently, mid-move) is served from the
 	// faster copy.
-	pinned := 0
 	for _, st := range s.hier.Stores() {
-		if pinned == n {
+		if v.pinned == n {
 			break
 		}
 		v.scratchIDs = v.scratchIDs[:0]
@@ -106,7 +106,7 @@ func (s *Server) OpenRangeView(file string, size, off, want int64) *RangeView {
 				i := v.scratchPos[k]
 				v.bufs[i] = b
 				v.tierOf[i] = name
-				pinned++
+				v.pinned++
 			}
 		}
 	}
@@ -204,6 +204,11 @@ func (v *RangeView) accountHit(i int, segStart, segLen int64) {
 	s.iostats.Hit(tier, hi-lo)
 	s.hitVec.With(tier).Inc()
 }
+
+// Resident reports whether every covered segment was pinned in a local
+// tier when the view opened: no byte of the range needs a peer, a
+// stall on an in-flight fetch, or the PFS.
+func (v *RangeView) Resident() bool { return v.pinned == len(v.ids) }
 
 // Hits returns the per-segment tier-hit count so far.
 func (v *RangeView) Hits() int { return v.hits }

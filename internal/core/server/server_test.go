@@ -14,6 +14,7 @@ import (
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
 )
 
@@ -329,5 +330,39 @@ func TestReadRangeMatchesPFSUnderPartialResidency(t *testing.T) {
 	}
 	if !bytes.Equal(p, ref) {
 		t.Fatal("mixed hit/miss range diverges from PFS")
+	}
+}
+
+// A warm local hit allocates nothing: the mapping key is built on the
+// stack and looked up by its bytes, and the tier read fills the
+// caller's buffer.
+func TestReadPrefetchedWarmLocalHitAllocsNothing(t *testing.T) {
+	t.Run("telemetry-off", func(t *testing.T) { checkWarmHitAllocs(t, nil) })
+	// Every read timed: the histograms and hit counters stay free too.
+	reg := telemetry.NewRegistry()
+	reg.SetTimeSampling(1)
+	t.Run("telemetry-on", func(t *testing.T) { checkWarmHitAllocs(t, reg) })
+}
+
+func checkWarmHitAllocs(t *testing.T, reg *telemetry.Registry) {
+	srv, fs := newServer(t, Config{SegmentSize: 1024, Engine: placement.Config{UpdateThreshold: 1}, Telemetry: reg})
+	fs.Create("data/allocs", 4096)
+	srv.Start()
+	defer srv.Stop()
+	srv.StartEpoch("data/allocs", 4096)
+	srv.PostEvent(events.Event{Op: events.OpRead, File: "data/allocs", Offset: 0, Length: 1024, Time: time.Now()})
+	srv.Flush()
+	id := seg.ID{File: "data/allocs", Index: 0}
+	buf := make([]byte, 512)
+	if _, tier, ok := srv.ReadPrefetched(id, 0, buf); !ok || tier != "ram" {
+		t.Fatalf("warm-up read: tier %q ok %v, want a ram hit", tier, ok)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, ok := srv.ReadPrefetched(id, 0, buf); !ok {
+			t.Fatal("warm read missed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm local ReadPrefetched hit: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -15,11 +15,17 @@
 //	start = max(now, channelFree)
 //	end   = start + latency + size/bandwidth
 //
-// and then sleeps until end. Because the channel's free time advances by
-// the full service time even when the caller does not sleep (sub-scheduler
-// granularity operations), queueing backlogs accumulate correctly: many
+// and then waits until end. Because the channel's free time advances by
+// the full service time, queueing backlogs accumulate correctly: many
 // cheap operations issued at once serialize into real elapsed time, just
 // like on a saturated device.
+//
+// The wait is precise to a few microseconds, not to the Go timer's ~1 ms
+// floor: on Linux short waits yield-spin, sub-2 ms waits park on one
+// process-wide waker (a timerfd for an idle process, a read deadline
+// for a busy one), and longer ones sleep most of the way first
+// (wait_linux.go). Other platforms use time.Sleep, whose overshoot
+// makes sub-millisecond devices cost about a millisecond.
 package devsim
 
 import (
@@ -115,9 +121,7 @@ func (d *Device) Access(size int64) time.Duration {
 	d.bytes.Add(size)
 	d.busyNanos.Add(int64(cost))
 
-	if wait := time.Until(end); wait > 0 {
-		time.Sleep(wait)
-	}
+	waitFor(end)
 	return cost
 }
 

@@ -42,7 +42,9 @@ func TestCostDefaultsIgnoreNonPositiveScale(t *testing.T) {
 	}
 }
 
-func TestAccessBlocksForCost(t *testing.T) {
+func TestAccessBlocksForCost(t *testing.T) { checkBlocksForCost(t) }
+
+func checkBlocksForCost(t *testing.T) {
 	d := New(Profile{Name: "x", Latency: 20 * time.Millisecond}, 1)
 	start := time.Now()
 	d.Access(0)
@@ -51,7 +53,9 @@ func TestAccessBlocksForCost(t *testing.T) {
 	}
 }
 
-func TestAccessSerializesOnOneChannel(t *testing.T) {
+func TestAccessSerializesOnOneChannel(t *testing.T) { checkSerializesOnOneChannel(t) }
+
+func checkSerializesOnOneChannel(t *testing.T) {
 	d := New(Profile{Name: "x", Latency: 10 * time.Millisecond, Channels: 1}, 1)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -68,7 +72,9 @@ func TestAccessSerializesOnOneChannel(t *testing.T) {
 	}
 }
 
-func TestAccessParallelChannels(t *testing.T) {
+func TestAccessParallelChannels(t *testing.T) { checkParallelChannels(t) }
+
+func checkParallelChannels(t *testing.T) {
 	d := New(Profile{Name: "x", Latency: 20 * time.Millisecond, Channels: 4}, 1)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -139,4 +145,15 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// The portable time.Sleep fallback (every platform but Linux) keeps
+// the queueing model's behaviour.
+func TestSleepFallbackQueueing(t *testing.T) {
+	prev := waitFor
+	waitFor = sleepUntil
+	t.Cleanup(func() { waitFor = prev })
+	t.Run("BlocksForCost", checkBlocksForCost)
+	t.Run("SerializesOnOneChannel", checkSerializesOnOneChannel)
+	t.Run("ParallelChannels", checkParallelChannels)
 }

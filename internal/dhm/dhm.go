@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hfetch/internal/comm"
 )
@@ -57,10 +58,11 @@ type Config struct {
 // Map is one distributed hashmap instance.
 type Map struct {
 	cfg Config
-	// memberMu guards cfg.Nodes: Rebalance rewrites the membership while
-	// Owner lookups run concurrently.
-	memberMu sync.RWMutex
-	shards   []shard
+	// members is the current membership (cfg.Nodes only seeds it).
+	// Rebalance publishes a fresh slice; Owner lookups load it without a
+	// lock, so every Get and Apply skips a map-wide read lock.
+	members atomic.Pointer[[]string]
+	shards  []shard
 
 	opMu sync.RWMutex
 	ops  map[string]OpFunc
@@ -85,6 +87,7 @@ func New(cfg Config, mux *comm.Mux) *Map {
 		ops:   make(map[string]OpFunc),
 		peers: make(map[string]comm.Peer),
 	}
+	m.setMembers(cfg.Nodes)
 	m.shards = make([]shard, cfg.Shards)
 	for i := range m.shards {
 		m.shards[i].m = make(map[string]any)
@@ -105,16 +108,24 @@ func (m *Map) RegisterOp(name string, fn OpFunc) {
 
 // Owner returns the owner node for key; the empty string means "self"
 // (single-node map).
-func (m *Map) Owner(key string) string {
-	m.memberMu.RLock()
-	defer m.memberMu.RUnlock()
-	if len(m.cfg.Nodes) == 0 {
+func (m *Map) Owner(key string) string { return ownerOf(m, key) }
+
+// ownerOf is Owner over either key representation, so the []byte
+// lookups hash in place without converting. A map of zero or one
+// members needs no hashing at all.
+func ownerOf[K string | []byte](m *Map, key K) string {
+	nodes := *m.members.Load()
+	switch len(nodes) {
+	case 0:
 		return m.cfg.Self
+	case 1:
+		return nodes[0]
 	}
+	h := fnv(key)
 	best := ""
 	var bestW uint64
-	for _, n := range m.cfg.Nodes {
-		w := hrw(key, n)
+	for _, n := range nodes {
+		w := hrw(h, n)
 		if best == "" || w > bestW || (w == bestW && n < best) {
 			best, bestW = n, w
 		}
@@ -122,19 +133,24 @@ func (m *Map) Owner(key string) string {
 	return best
 }
 
-func (m *Map) local(key string) bool {
-	o := m.Owner(key)
+func (m *Map) setMembers(nodes []string) {
+	cp := append([]string(nil), nodes...)
+	m.members.Store(&cp)
+}
+
+func local[K string | []byte](m *Map, key K) bool {
+	o := ownerOf(m, key)
 	return o == "" || o == m.cfg.Self
 }
 
-func (m *Map) shardOf(key string) *shard {
+func shardOf[K string | []byte](m *Map, key K) *shard {
 	return &m.shards[int(fnv(key)%uint64(len(m.shards)))]
 }
 
 // Get returns the value for key and whether it exists.
 func (m *Map) Get(key string) (any, bool, error) {
-	if m.local(key) {
-		s := m.shardOf(key)
+	if local(m, key) {
+		s := shardOf(m, key)
 		s.mu.RLock()
 		v, ok := s.m[key]
 		s.mu.RUnlock()
@@ -143,9 +159,26 @@ func (m *Map) Get(key string) (any, bool, error) {
 	return m.remoteGet(key)
 }
 
+// GetBytes is Get keyed by the bytes of a key, for callers that build
+// keys in a stack buffer: a locally owned key is looked up without
+// converting it to a string, so the lookup does not allocate. key is
+// not retained.
+func (m *Map) GetBytes(key []byte) (any, bool, error) {
+	if local(m, key) {
+		s := shardOf(m, key)
+		s.mu.RLock()
+		// Not generic over the key type: only a concrete []byte index
+		// gets the compiler's no-copy string(key) map lookup.
+		v, ok := s.m[string(key)]
+		s.mu.RUnlock()
+		return v, ok, nil
+	}
+	return m.remoteGet(string(key))
+}
+
 // Put stores val under key.
 func (m *Map) Put(key string, val any) error {
-	if m.local(key) {
+	if local(m, key) {
 		m.localPut(key, val, true)
 		return nil
 	}
@@ -153,7 +186,7 @@ func (m *Map) Put(key string, val any) error {
 }
 
 func (m *Map) localPut(key string, val any, logIt bool) {
-	s := m.shardOf(key)
+	s := shardOf(m, key)
 	s.mu.Lock()
 	s.m[key] = val
 	s.mu.Unlock()
@@ -164,7 +197,7 @@ func (m *Map) localPut(key string, val any, logIt bool) {
 
 // Delete removes key.
 func (m *Map) Delete(key string) error {
-	if m.local(key) {
+	if local(m, key) {
 		m.localDelete(key, true)
 		return nil
 	}
@@ -172,7 +205,7 @@ func (m *Map) Delete(key string) error {
 }
 
 func (m *Map) localDelete(key string, logIt bool) {
-	s := m.shardOf(key)
+	s := shardOf(m, key)
 	s.mu.Lock()
 	delete(s.m, key)
 	s.mu.Unlock()
@@ -184,7 +217,7 @@ func (m *Map) localDelete(key string, logIt bool) {
 // Apply atomically applies the named op to key at its owner and returns
 // the new value.
 func (m *Map) Apply(key, op string, arg []byte) (any, error) {
-	if m.local(key) {
+	if local(m, key) {
 		return m.localApply(key, op, arg)
 	}
 	return m.remoteApply(key, op, arg)
@@ -197,7 +230,7 @@ func (m *Map) localApply(key, op string, arg []byte) (any, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("dhm: unknown op %q", op)
 	}
-	s := m.shardOf(key)
+	s := shardOf(m, key)
 	s.mu.Lock()
 	cur := s.m[key]
 	next := fn(cur, arg)
@@ -402,7 +435,7 @@ func (m *Map) registerHandlers(mux *comm.Mux) {
 		if err != nil {
 			return nil, err
 		}
-		s := m.shardOf(req.Key)
+		s := shardOf(m, req.Key)
 		s.mu.RLock()
 		v, ok := s.m[req.Key]
 		s.mu.RUnlock()
@@ -457,7 +490,7 @@ func (m *Map) registerHandlers(mux *comm.Mux) {
 
 // ---- hashing ----
 
-func fnv(s string) uint64 {
+func fnv[K string | []byte](s K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -470,11 +503,11 @@ func fnv(s string) uint64 {
 	return h
 }
 
-// hrw computes the rendezvous weight of (key, node). The two hashes are
-// combined through a strong finalizer so short node names still produce
-// well-distributed weights.
-func hrw(key, node string) uint64 {
-	z := fnv(key) ^ (fnv(node) * 0x9e3779b97f4a7c15)
+// hrw computes the rendezvous weight of (key, node) from the key's hash
+// keyHash = fnv(key). The two hashes are combined through a strong
+// finalizer so short node names still produce well-distributed weights.
+func hrw(keyHash uint64, node string) uint64 {
+	z := keyHash ^ (fnv(node) * 0x9e3779b97f4a7c15)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -16,9 +16,7 @@ import (
 // so a key written mid-migration lands at its new owner either way and
 // the stale local copy is discarded.
 func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
-	m.memberMu.Lock()
-	m.cfg.Nodes = append([]string(nil), newNodes...)
-	m.memberMu.Unlock()
+	m.setMembers(newNodes)
 
 	// Collect local keys that no longer belong here.
 	type kv struct {
@@ -27,7 +25,7 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 	}
 	var moving []kv
 	m.Range(func(key string, val any) bool {
-		if !m.local(key) {
+		if !local(m, key) {
 			moving = append(moving, kv{key, val})
 		}
 		return true
@@ -48,7 +46,5 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 
 // Members returns the current membership list (empty = single node).
 func (m *Map) Members() []string {
-	m.memberMu.RLock()
-	defer m.memberMu.RUnlock()
-	return append([]string(nil), m.cfg.Nodes...)
+	return append([]string(nil), *m.members.Load()...)
 }

@@ -426,28 +426,38 @@ func (g *Gateway) handleFile(w http.ResponseWriter, r *http.Request) {
 		lw.path, lw.off, lw.ln = path, br.start, br.length
 	}
 
-	// Every request is an access event: the gateway is just another
-	// reader as far as the prefetching pipeline is concerned.
-	g.srv.PostEvent(events.Event{
-		Op: events.OpRead, File: path, Offset: br.start, Length: br.length,
-		Time: start, Via: events.ViaGateway,
-	})
-	if g.cfg.StreamDetect && br.length > 0 {
-		detected, first, last := g.streams.note(client, path, br.start, br.length, fi.Size)
-		if detected {
-			g.streamCtr.Inc()
-		}
-		g.hintCtr.Add(int64(g.srv.PostHints(path, first, last, fi.Size, start)))
-	}
-
-	g.countCode(status)
-	w.WriteHeader(status)
 	if r.Method == http.MethodHead || br.length == 0 {
+		// Nothing is read, so nothing can miss.
+		g.postAccess(client, path, fi.Size, br, start, false)
+		g.countCode(status)
+		w.WriteHeader(status)
 		g.ttfbHist.Observe(int64(time.Since(start)))
 		g.fullHist.Observe(int64(time.Since(start)))
 		return
 	}
-	g.stream(w, path, fi, br, start)
+	g.countCode(status)
+	w.WriteHeader(status)
+	g.stream(w, client, path, fi, br, start)
+}
+
+// postAccess posts the request's access event and, with stream
+// detection on, the readahead hints the request earns. Every request is
+// an access event: the gateway is just another reader as far as the
+// prefetching pipeline is concerned. miss marks a range the local tiers
+// did not wholly hold, so placement runs for it at once, as it does for
+// an agent read that fell through to the PFS.
+func (g *Gateway) postAccess(client, path string, size int64, br byteRange, start time.Time, miss bool) {
+	g.srv.PostEvent(events.Event{
+		Op: events.OpRead, File: path, Offset: br.start, Length: br.length,
+		Time: start, Via: events.ViaGateway, Miss: miss,
+	})
+	if g.cfg.StreamDetect && br.length > 0 {
+		detected, first, last := g.streams.note(client, path, br.start, br.length, size)
+		if detected {
+			g.streamCtr.Inc()
+		}
+		g.hintCtr.Add(int64(g.srv.PostHints(path, first, last, size, start)))
+	}
 }
 
 // InflightNow reports requests currently being served (the watchdog's
@@ -470,7 +480,7 @@ func (g *Gateway) Completed() int64 { return g.completed.Load() }
 // than bytes of two generations spliced together — PFS contents are a
 // pure function of the generation, so a torn response is otherwise
 // undetectable).
-func (g *Gateway) stream(w http.ResponseWriter, path string, fi pfs.FileInfo, br byteRange, start time.Time) {
+func (g *Gateway) stream(w http.ResponseWriter, client, path string, fi pfs.FileInfo, br byteRange, start time.Time) {
 	// The fallback chunk buffer comes from the slab even on the
 	// PFS-degraded path: no per-request make. Both defers also run on
 	// the abort panic, so pins and the chunk buffer are never leaked.
@@ -478,6 +488,9 @@ func (g *Gateway) stream(w http.ResponseWriter, path string, fi pfs.FileInfo, br
 	defer tiers.SlabPut(buf)
 	v := g.srv.OpenRangeView(path, fi.Size, br.start, br.length)
 	defer v.Close()
+	// The view has resolved residency: post the access now, marked as a
+	// miss when any covered segment must come from elsewhere.
+	g.postAccess(client, path, fi.Size, br, start, !v.Resident())
 
 	first := true
 	var sent int64

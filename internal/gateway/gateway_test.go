@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/seg"
@@ -22,6 +23,13 @@ const testSeg = 4096
 // gateway over it.
 func newTestNode(t *testing.T, cfg Config) (*Gateway, *server.Server, *pfs.FS) {
 	t.Helper()
+	return newTestNodeEngine(t, cfg, placement.Config{UpdateThreshold: placement.High})
+}
+
+// newTestNodeEngine is newTestNode with the placement engine's triggers
+// under the caller's control.
+func newTestNodeEngine(t *testing.T, cfg Config, eng placement.Config) (*Gateway, *server.Server, *pfs.FS) {
+	t.Helper()
 	fs := pfs.New(nil)
 	ram := tiers.NewStore("ram", 4<<20, nil)
 	hier := tiers.NewHierarchy(ram)
@@ -31,7 +39,7 @@ func newTestNode(t *testing.T, cfg Config) (*Gateway, *server.Server, *pfs.FS) {
 	srv, err := server.New(server.Config{
 		Node:        "gw0",
 		SegmentSize: testSeg,
-		Engine:      placement.Config{UpdateThreshold: placement.High},
+		Engine:      eng,
 		Telemetry:   reg,
 	}, fs, hier, stats, maps)
 	if err != nil {
@@ -529,5 +537,66 @@ func TestConditionalGetNotModified(t *testing.T) {
 	}
 	if got := resp.Header.Get("ETag"); got != `"g1"` {
 		t.Fatalf("post-write ETag = %q, want %q", got, `"g1"`)
+	}
+}
+
+// A GET the local tiers only partly hold posts its access event as a
+// miss, so placement runs for it at once: with the engine's update
+// threshold and interval out of reach, only urgent updates place
+// anything. A wholly resident GET stays non-urgent.
+func TestPartlyPFSServedGetIsUrgent(t *testing.T) {
+	g, srv, fs := newTestNodeEngine(t, Config{},
+		placement.Config{UpdateThreshold: 1 << 30, Interval: time.Hour})
+	const size = 3 * testSeg
+	if err := fs.Create("data/u", size); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(g)
+	defer ts.Close()
+	get := func(from, to int64) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/files/data/u", nil)
+		req.Header.Set("Range", "bytes="+strconv.FormatInt(from, 10)+"-"+strconv.FormatInt(to, 10))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
+	resident := func(idx int64) bool {
+		_, _, ok := srv.Lookup(seg.ID{File: "data/u", Index: idx})
+		return ok
+	}
+	waitResident := func(idxs ...int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for _, idx := range idxs {
+			for !resident(idx) {
+				if time.Now().After(deadline) {
+					t.Fatalf("segment %d not placed: the GET posted no urgent update", idx)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	get(0, testSeg-1)
+	srv.Flush() // place segment 0
+	if !resident(0) || resident(1) || resident(2) {
+		t.Fatal("want exactly segment 0 placed after the first GET")
+	}
+	get(0, size-1) // segment 0 from RAM, 1 and 2 from the PFS
+	waitResident(1, 2)
+
+	srv.Flush()
+	runs := srv.Engine().Counters().Runs
+	get(0, size-1) // wholly resident
+	for !srv.Monitor().Quiescent() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := srv.Engine().Counters().Runs; got != runs {
+		t.Fatalf("a wholly resident GET ran %d placement passes, want none", got-runs)
 	}
 }
